@@ -16,7 +16,10 @@
 # suites that exercise the thread pool (util, core, tools) instead of the
 # full matrix -- the right gate for changes to src/util/thread_pool.* or the
 # parallel sections of the solvers. Data races in the engine surface here
-# even on a single-core host.
+# even on a single-core host. It also runs the concurrent-serving suites
+# (EngineConcurrency, WriterPreferringMutex, the slow-query capture under
+# overlapping queries): many queries on one engine, and the serving cell's
+# reader/writer lock.
 #
 # --faults keeps the ASan build but runs the robustness- and persist-labeled
 # suites (ctest -L 'robustness|persist': execution context, fault injector,
@@ -93,7 +96,7 @@ for arg in "$@"; do
     --tsan)
       SANITIZE=thread
       MODE=tsan
-      TEST_FILTER=(-R 'util_tests|core_tests|tools_tests|ParallelDeterminism|ThreadPool|ExecutionContext|FaultInjection|Interruption|Degradation|CliRobustness|^Server\.|^Service\.|^HttpParser\.|^Snapshot|^Reload|^Chaos\.|^CrashConsistency|^RetryPolicy|^RetryAfter|^ServeLifecycle|^VersionedGraph|^RepairForUpdates|^MutationOracle|^MutateEndpoint|^MutateStress')
+      TEST_FILTER=(-R 'util_tests|core_tests|tools_tests|ParallelDeterminism|ThreadPool|ExecutionContext|FaultInjection|Interruption|Degradation|CliRobustness|^Server\.|^Service\.|^HttpParser\.|^Snapshot|^Reload|^Chaos\.|^CrashConsistency|^RetryPolicy|^RetryAfter|^ServeLifecycle|^VersionedGraph|^RepairForUpdates|^MutationOracle|^MutateEndpoint|^MutateStress|EngineConcurrency\.|^WriterPreferringMutex\.|^FlightRecorder\.SlowQuery')
       ;;
     --server)
       MODE=server

@@ -1,5 +1,6 @@
 #include "core/engine.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <utility>
@@ -44,15 +45,21 @@ std::optional<SnapshotInfo> Engine::EffectiveSnapshotInfo() const {
   return info;
 }
 
-Engine::Resources& Engine::ResourcesFor(unsigned resolved_threads) {
-  auto it = resources_.find(resolved_threads);
-  if (it == resources_.end()) {
-    it = resources_
-             .emplace(resolved_threads,
-                      std::make_unique<Resources>(resolved_threads))
-             .first;
+Engine::Lease::Lease(Engine* engine, unsigned resolved_threads)
+    : engine_(engine), threads_(resolved_threads) {
+  std::lock_guard<std::mutex> lock(engine_->resources_mu_);
+  ResourceList& list = engine_->resources_[threads_];
+  if (list.idle.empty()) {
+    list.all.push_back(std::make_unique<Resources>(threads_));
+    list.idle.push_back(list.all.back().get());
   }
-  return *it->second;
+  res_ = list.idle.back();
+  list.idle.pop_back();
+}
+
+Engine::Lease::~Lease() {
+  std::lock_guard<std::mutex> lock(engine_->resources_mu_);
+  engine_->resources_[threads_].idle.push_back(res_);
 }
 
 util::Status Engine::Execute(const QueryRequest& request,
@@ -60,40 +67,48 @@ util::Status Engine::Execute(const QueryRequest& request,
   const SolverOptions& options = request.options;
   SkylineResult* result = &response->result;
   const unsigned resolved = internal::ResolveThreads(options.threads);
-  Resources& res = ResourcesFor(resolved);
-  internal::SolveEnv env{&request.context, &res.pool, &res.workspace,
+  Lease res(this, resolved);
+  internal::SolveEnv env{&request.context, &res->pool, &res->workspace,
                          &prepared_};
 
   // Arm the slow-query trace only when nobody else is tracing: the caller's
-  // own trace (CLI --trace) must never be clobbered, and a second engine in
-  // the process must not interleave spans into ours.
+  // own trace (CLI --trace) must never be clobbered, and at most one query
+  // in the process captures at a time. Queries running meanwhile trace
+  // into the same collector, so the capture keeps only the roots of this
+  // query's threads: the calling thread and its pool's workers.
+  const uint64_t slow_threshold_us = slow_query_threshold_us();
   bool trace_armed = false;
-  if (slow_query_threshold_us_ > 0 && !util::trace::Enabled()) {
+  std::vector<uint32_t> own_tracks;  // trace tracks of this query's threads
+  if (slow_threshold_us > 0 && !util::trace::Enabled()) {
     bool expected = false;
     if (g_slow_trace_busy.compare_exchange_strong(expected, true)) {
+      // One single-item chunk per pool thread: the calling thread runs
+      // chunk 0 and worker i chunk i.
+      own_tracks.resize(res->pool.num_threads());
+      res->pool.ParallelFor(own_tracks.size(),
+                            [&](unsigned w, uint64_t, uint64_t) {
+                              own_tracks[w] = util::trace::ThisThreadTrack();
+                            });
       util::trace::Reset();
       util::trace::SetEnabled(true);
       trace_armed = true;
     }
   }
 
-  const uint64_t builds_before = prepared_.builds();
+  const uint64_t builds_before = PreparedGraph::BuildsOnThisThread();
   util::Timer query_timer;
   util::Status status =
       internal::DispatchSolve(versioned_.Current(), options, env, result);
   const uint64_t duration_us = static_cast<uint64_t>(query_timer.Micros());
-  const bool warm = prepared_.builds() == builds_before;
+  const bool warm = PreparedGraph::BuildsOnThisThread() == builds_before;
 
-  ++queries_served_;
-  if (warm) {
-    ++warm_queries_;
-  } else {
-    ++cold_queries_;
-  }
+  queries_served_.fetch_add(1, std::memory_order_relaxed);
+  (warm ? warm_queries_ : cold_queries_)
+      .fetch_add(1, std::memory_order_relaxed);
   if (status.code() == util::StatusCode::kDeadlineExceeded) {
-    ++timeout_queries_;
+    timeout_queries_.fetch_add(1, std::memory_order_relaxed);
   } else if (status.code() == util::StatusCode::kCancelled) {
-    ++cancelled_queries_;
+    cancelled_queries_.fetch_add(1, std::memory_order_relaxed);
   }
 
   // Attribute latency to the algorithm that actually ran: a byte-budget
@@ -123,16 +138,16 @@ util::Status Engine::Execute(const QueryRequest& request,
 
   if (trace_armed) {
     util::trace::SetEnabled(false);
-    if (duration_us >= slow_query_threshold_us_) {
-      recorder_.RecordSlow(record, slow_query_threshold_us_,
-                           util::trace::FinishedRoots());
+    if (duration_us >= slow_threshold_us) {
+      std::vector<util::trace::SpanNode> roots = util::trace::FinishedRoots();
+      std::erase_if(roots, [&](const util::trace::SpanNode& root) {
+        return std::find(own_tracks.begin(), own_tracks.end(), root.tid) ==
+               own_tracks.end();
+      });
+      recorder_.RecordSlow(record, slow_threshold_us, roots);
     }
     util::trace::Reset();
     g_slow_trace_busy.store(false);
-  }
-
-  if (util::metrics::Enabled()) {
-    util::metrics::GetCounter("nsky.engine.queries").Add(1);
   }
 
   // Output trimming happens after recording so the flight recorder still
@@ -179,9 +194,8 @@ const std::vector<VertexId>& Engine::SkylineCache() {
 }
 
 const PreparedGraph::FilterArtifacts& Engine::Filter() {
-  Resources& res =
-      ResourcesFor(internal::ResolveThreads(options_.defaults.threads));
-  return prepared_.Filter(res.pool);
+  Lease res(this, internal::ResolveThreads(options_.defaults.threads));
+  return prepared_.Filter(res->pool);
 }
 
 void Engine::InvalidateArtifacts() {
@@ -264,29 +278,38 @@ Engine::MutationResult Engine::ApplyUpdates(
   return out;
 }
 
-uint64_t Engine::WorkspaceAllocationEvents(uint32_t threads) {
-  return ResourcesFor(internal::ResolveThreads(threads))
-      .workspace.allocation_events();
+uint64_t Engine::SumWorkspaces(
+    uint32_t threads, uint64_t (SolverWorkspace::*ledger)() const) const {
+  std::lock_guard<std::mutex> lock(resources_mu_);
+  auto it = resources_.find(internal::ResolveThreads(threads));
+  if (it == resources_.end()) return 0;
+  uint64_t sum = 0;
+  for (const auto& res : it->second.all) sum += (res->workspace.*ledger)();
+  return sum;
 }
 
-uint64_t Engine::WorkspaceAllocatedBytes(uint32_t threads) {
-  return ResourcesFor(internal::ResolveThreads(threads))
-      .workspace.allocated_bytes();
+uint64_t Engine::WorkspaceAllocationEvents(uint32_t threads) const {
+  return SumWorkspaces(threads, &SolverWorkspace::allocation_events);
+}
+
+uint64_t Engine::WorkspaceAllocatedBytes(uint32_t threads) const {
+  return SumWorkspaces(threads, &SolverWorkspace::allocated_bytes);
 }
 
 void Engine::PoisonScratchForTesting() {
-  for (auto& [threads, res] : resources_) {
-    res->workspace.PoisonForTesting();
+  std::lock_guard<std::mutex> lock(resources_mu_);
+  for (auto& [threads, list] : resources_) {
+    for (auto& res : list.all) res->workspace.PoisonForTesting();
   }
 }
 
 EngineStats Engine::StatsSnapshot() const {
   EngineStats s;
-  s.queries_served = queries_served_;
-  s.warm_queries = warm_queries_;
-  s.cold_queries = cold_queries_;
-  s.timeout_queries = timeout_queries_;
-  s.cancelled_queries = cancelled_queries_;
+  s.queries_served = queries_served_.load(std::memory_order_relaxed);
+  s.warm_queries = warm_queries_.load(std::memory_order_relaxed);
+  s.cold_queries = cold_queries_.load(std::memory_order_relaxed);
+  s.timeout_queries = timeout_queries_.load(std::memory_order_relaxed);
+  s.cancelled_queries = cancelled_queries_.load(std::memory_order_relaxed);
   s.shed_queries = shed_queries_.load(std::memory_order_relaxed);
   s.artifact_builds = prepared_.builds();
   s.snapshot = EffectiveSnapshotInfo();
@@ -304,12 +327,18 @@ EngineStats Engine::StatsSnapshot() const {
     s.mutation = ms;
   }
   s.cache = prepared_.CacheStatsSnapshot();
-  for (const auto& [threads, res] : resources_) {
-    EngineStats::WorkspaceStats ws;
-    ws.threads = static_cast<uint32_t>(threads);
-    ws.allocation_events = res->workspace.allocation_events();
-    ws.allocated_bytes = res->workspace.allocated_bytes();
-    s.workspaces.push_back(ws);
+  {
+    // One entry per thread count, summed over its pooled workspaces.
+    std::lock_guard<std::mutex> lock(resources_mu_);
+    for (const auto& [threads, list] : resources_) {
+      EngineStats::WorkspaceStats ws;
+      ws.threads = static_cast<uint32_t>(threads);
+      for (const auto& res : list.all) {
+        ws.allocation_events += res->workspace.allocation_events();
+        ws.allocated_bytes += res->workspace.allocated_bytes();
+      }
+      s.workspaces.push_back(ws);
+    }
   }
   for (int i = 0; i < kNumAlgorithms; ++i) {
     if (latency_us_[i].Count() == 0) continue;

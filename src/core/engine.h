@@ -6,7 +6,7 @@
 //   engine.Execute({.options = options}, &response);         // warm: cached
 //
 // An Engine owns a graph, a PreparedGraph artifact cache built from it, and
-// one {ThreadPool, SolverWorkspace} pair per distinct resolved thread
+// a free list of {ThreadPool, SolverWorkspace} pairs per resolved thread
 // count. Execute() is the single query surface (core/query.h): every input
 // -- options, limits, output mode -- arrives in a QueryRequest, every
 // output -- result, status, warmth -- leaves in a QueryResponse, and the
@@ -17,7 +17,7 @@
 // bit-identical to a cold Solve() call with the same options at any thread
 // count. What changes is the cost profile: graph-derived artifacts (filter
 // candidates, blooms, 2-hop lists) are computed once and shared across
-// queries, and per-query scratch comes from the pooled workspace, so a warm
+// queries, and per-query scratch comes from a pooled workspace, so a warm
 // query of a previously-seen shape performs no heap allocation in the
 // solver hot path (Execute into a reused response extends that to the
 // outputs; the workspace allocation ledger verifies it in tests).
@@ -31,15 +31,24 @@
 //  * ThreadPool workers live across queries instead of being spawned and
 //    joined per call.
 //
-// Concurrency: an Engine serves one caller at a time (the underlying
-// ThreadPool is not reentrant); queries are not internally synchronized.
-// Use one Engine per serving thread, or serialize externally.
+// Concurrency: Execute() and the observation calls (StatsSnapshot,
+// StatsJson, RecentQueriesJson, RecordRejection, the const accessors) may
+// run on any number of threads at once. Each query checks a {ThreadPool,
+// SolverWorkspace} pair out of its thread count's LIFO free list (a lone
+// caller keeps reusing one warm pair; the list grows to the peak number of
+// concurrent queries), lazy artifact builds are serialized inside
+// PreparedGraph, and the serving counters are relaxed atomics.
+// ApplyUpdates(), RefreshFrom(), InvalidateArtifacts(), SkylineCache(),
+// Filter(), set_snapshot_info() and PoisonScratchForTesting() change what
+// queries read, so each must be exclusive with every other call; the server
+// (src/server/service.h) enforces this split with a reader/writer lock.
 #ifndef NSKY_CORE_ENGINE_H_
 #define NSKY_CORE_ENGINE_H_
 
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -164,9 +173,9 @@ class Engine {
   // that was rejected before reaching Execute() (load shedding, draining).
   // Bumps the shed counter and files a flight-recorder entry carrying the
   // rejection status, so shed traffic shows up in StatsSnapshot() and the
-  // nsky.queries.v1 document alongside served queries. Unlike Execute()
-  // this is safe to call concurrently with a running query -- rejection is
-  // precisely the moment the engine is busy.
+  // nsky.queries.v1 document alongside served queries. Safe to call
+  // concurrently with running queries -- rejection is precisely the moment
+  // the engine is busy.
   void RecordRejection(const SolverOptions& options,
                        const util::Status& status);
 
@@ -210,11 +219,13 @@ class Engine {
   // A batch whose net effect is empty commits nothing and keeps the epoch.
   // After the call, warm queries are bit-identical -- including
   // aux_peak_bytes -- to a cold-built engine on the post-mutation graph.
-  // Readers holding graph_snapshot() keep the pre-commit epoch; like
-  // Execute(), this must be serialized with queries by the caller.
+  // Readers holding graph_snapshot() keep the pre-commit epoch. Must be
+  // exclusive with every query (see Concurrency above).
   MutationResult ApplyUpdates(std::span<const graph::EdgeUpdate> updates);
 
-  uint64_t queries_served() const { return queries_served_; }
+  uint64_t queries_served() const {
+    return queries_served_.load(std::memory_order_relaxed);
+  }
   uint64_t shed_queries() const {
     return shed_queries_.load(std::memory_order_relaxed);
   }
@@ -250,15 +261,17 @@ class Engine {
   // setter exists so tests need not mutate the environment. Capture borrows
   // the global tracer, so it stays off while the caller is already tracing.
   void set_slow_query_threshold_us(uint64_t us) {
-    slow_query_threshold_us_ = us;
+    slow_query_threshold_us_.store(us, std::memory_order_relaxed);
   }
-  uint64_t slow_query_threshold_us() const { return slow_query_threshold_us_; }
+  uint64_t slow_query_threshold_us() const {
+    return slow_query_threshold_us_.load(std::memory_order_relaxed);
+  }
 
-  // Workspace allocation ledger for the resources serving `threads`
-  // (resolved as in SolverOptions). Tests assert these stay flat across
-  // warm queries.
-  uint64_t WorkspaceAllocationEvents(uint32_t threads);
-  uint64_t WorkspaceAllocatedBytes(uint32_t threads);
+  // Workspace allocation ledger summed over the pooled workspaces serving
+  // `threads` (resolved as in SolverOptions). Tests assert these stay flat
+  // across warm queries.
+  uint64_t WorkspaceAllocationEvents(uint32_t threads) const;
+  uint64_t WorkspaceAllocatedBytes(uint32_t threads) const;
 
   // Fills every pooled workspace with garbage; see
   // SolverWorkspace::PoisonForTesting.
@@ -272,12 +285,35 @@ class Engine {
     util::ThreadPool pool;
     SolverWorkspace workspace;
   };
-  Resources& ResourcesFor(unsigned resolved_threads);
+  // Every pair built for one thread count, and the idle ones (LIFO).
+  struct ResourceList {
+    std::vector<std::unique_ptr<Resources>> all;
+    std::vector<Resources*> idle;
+  };
+  // A pair checked out for one query; back on the free list at scope exit.
+  class Lease {
+   public:
+    Lease(Engine* engine, unsigned resolved_threads);
+    ~Lease();
+    Lease(const Lease&) = delete;
+    Lease& operator=(const Lease&) = delete;
+    Resources* operator->() const { return res_; }
+
+   private:
+    Engine* engine_;
+    unsigned threads_;
+    Resources* res_;
+  };
+
+  // Sum of `ledger` over every pooled workspace serving `threads`.
+  uint64_t SumWorkspaces(uint32_t threads,
+                         uint64_t (SolverWorkspace::*ledger)() const) const;
 
   graph::VersionedGraph versioned_;
   EngineOptions options_;
   PreparedGraph prepared_;
-  std::map<unsigned, std::unique_ptr<Resources>> resources_;
+  mutable std::mutex resources_mu_;  // guards resources_
+  std::map<unsigned, ResourceList> resources_;
   std::vector<VertexId> skyline_cache_;
   bool has_skyline_cache_ = false;
   // Maintains skyline_cache_ across ApplyUpdates batches; created lazily on
@@ -293,14 +329,14 @@ class Engine {
   uint64_t dirty_last_ = 0;
   uint64_t dirty_total_ = 0;
   std::optional<SnapshotInfo> snapshot_info_;
-  uint64_t queries_served_ = 0;
-  uint64_t warm_queries_ = 0;
-  uint64_t cold_queries_ = 0;
-  uint64_t timeout_queries_ = 0;
-  uint64_t cancelled_queries_ = 0;
-  // Atomic because RecordRejection() runs concurrently with Execute().
+  // Serving counters: relaxed atomics, bumped by concurrent queries.
+  std::atomic<uint64_t> queries_served_{0};
+  std::atomic<uint64_t> warm_queries_{0};
+  std::atomic<uint64_t> cold_queries_{0};
+  std::atomic<uint64_t> timeout_queries_{0};
+  std::atomic<uint64_t> cancelled_queries_{0};
   std::atomic<uint64_t> shed_queries_{0};
-  uint64_t slow_query_threshold_us_ = 0;
+  std::atomic<uint64_t> slow_query_threshold_us_{0};
   FlightRecorder recorder_;
   // Indexed by Algorithm; named with the stable CLI algorithm names. These
   // are engine-scoped (not in the global registry), but the global

@@ -17,7 +17,10 @@ namespace nsky::core {
 
 namespace {
 
+thread_local uint64_t t_builds = 0;
+
 void CountBuild(const char* artifact) {
+  ++t_builds;
   if (util::metrics::Enabled()) {
     util::metrics::GetCounter("nsky.prepared.builds").Add(1);
     util::metrics::GetCounter(std::string("nsky.prepared.build.") + artifact)
@@ -474,6 +477,8 @@ uint64_t PreparedGraph::builds() const {
   std::lock_guard<std::mutex> lock(mu_);
   return builds_;
 }
+
+uint64_t PreparedGraph::BuildsOnThisThread() { return t_builds; }
 
 PreparedGraph::CacheStats PreparedGraph::CacheStatsSnapshot() const {
   std::lock_guard<std::mutex> lock(mu_);

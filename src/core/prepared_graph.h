@@ -28,9 +28,12 @@
 //    bulk graph updates rebuild, small updates stay incremental.
 //  * The graph must outlive the PreparedGraph and must not change while
 //    artifacts are live (rebuild through Engine::RefreshFrom instead).
-//    Lazy builds are serialized by an internal mutex; concurrent readers of
-//    already-built artifacts are safe, but Invalidate() must not race with
-//    a query.
+//  * Concurrency: the accessors may be called by many queries at once.
+//    Lazy builds run under an internal mutex, so each artifact is built
+//    exactly once (one miss) and only read afterwards. Invalidate(),
+//    Rebind(), RepairForUpdates() and Restore*() replace artifacts that
+//    running queries hold references to, so they must be exclusive with
+//    every query (core::Engine states which of its calls may overlap).
 #ifndef NSKY_CORE_PREPARED_GRAPH_H_
 #define NSKY_CORE_PREPARED_GRAPH_H_
 
@@ -181,6 +184,12 @@ class PreparedGraph {
   // Artifact builds performed since construction (telemetry; a warm serving
   // loop should see this settle while queries_served keeps growing).
   uint64_t builds() const;
+
+  // Artifact builds the calling thread has performed, on any PreparedGraph.
+  // A build runs on the thread that called the accessor, so the delta
+  // across one query tells whether that query built anything; the delta of
+  // builds() would also count a concurrent query's build.
+  static uint64_t BuildsOnThisThread();
 
   // Point-in-time copy of the per-artifact hit / miss / build-time ledger.
   // Observation-only: nothing in the library reads these to make decisions.

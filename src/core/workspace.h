@@ -21,11 +21,14 @@
 //    ledger charges (SkylineStats::aux_peak_bytes) are computed from logical
 //    sizes, not from reused capacities, so a pooled run reports bit-identical
 //    stats to a fresh run (core/solver.h).
-//  * Not thread-safe: one workspace serves one query at a time. The engine's
-//    WorkspacePool hands each concurrent query its own instance.
+//  * One workspace serves one query at a time: core::Engine checks an
+//    instance out of a per-thread-count free list for each query, so
+//    concurrent queries never share one. Only the allocation ledger may be
+//    read while a query runs (engine stats scrapes).
 #ifndef NSKY_CORE_WORKSPACE_H_
 #define NSKY_CORE_WORKSPACE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -64,8 +67,12 @@ class SolverWorkspace {
   // Cumulative count of capacity growths since construction and the bytes
   // they added. A warm engine query on a previously-seen shape leaves both
   // unchanged -- the ledger the zero-allocation tests assert on.
-  uint64_t allocation_events() const { return allocation_events_; }
-  uint64_t allocated_bytes() const { return allocated_bytes_; }
+  uint64_t allocation_events() const {
+    return allocation_events_.load(std::memory_order_relaxed);
+  }
+  uint64_t allocated_bytes() const {
+    return allocated_bytes_.load(std::memory_order_relaxed);
+  }
 
   // Fills every live buffer with garbage (0xAB patterns). Test-only: proves
   // solvers initialize all scratch they read instead of relying on state
@@ -76,8 +83,9 @@ class SolverWorkspace {
   template <typename T>
   void Reserve(std::vector<T>& v, size_t need) {
     if (v.capacity() < need) {
-      ++allocation_events_;
-      allocated_bytes_ += (need - v.capacity()) * sizeof(T);
+      allocation_events_.fetch_add(1, std::memory_order_relaxed);
+      allocated_bytes_.fetch_add((need - v.capacity()) * sizeof(T),
+                                 std::memory_order_relaxed);
       v.reserve(need);
     }
   }
@@ -89,8 +97,9 @@ class SolverWorkspace {
   std::vector<std::vector<VertexId>> worker_touched_;
   std::vector<uint64_t> worker_bytes_;
 
-  uint64_t allocation_events_ = 0;
-  uint64_t allocated_bytes_ = 0;
+  // Atomic so a stats scrape can read them while the owning query runs.
+  std::atomic<uint64_t> allocation_events_{0};
+  std::atomic<uint64_t> allocated_bytes_{0};
 };
 
 }  // namespace nsky::core

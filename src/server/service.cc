@@ -1,6 +1,8 @@
 #include "server/service.h"
 
+#include <mutex>
 #include <optional>
+#include <shared_mutex>
 #include <utility>
 
 #include "graph/versioned_graph.h"
@@ -290,7 +292,7 @@ HttpResponse SkylineService::HandleSkyline(const HttpRequest& request) {
   uint64_t epoch = 0;
   std::optional<core::SnapshotInfo> provenance;
   {
-    std::lock_guard<std::mutex> lock(serving->mu);
+    std::shared_lock<util::WriterPreferringMutex> lock(serving->mu);
     core::QueryResponse result;
     for (uint64_t i = 0; i < repeat; ++i) {
       engine->Execute(query, &result);
@@ -308,9 +310,9 @@ HttpResponse SkylineService::HandleSkyline(const HttpRequest& request) {
     response.body =
         core::SkylineDocToJson(engine->graph(), result.result, doc, engine) +
         "\n";
-    // Read under the same lock the body was computed under: mutations also
-    // serialize on the cell mutex, so the epoch header always names the
-    // exact epoch this response was computed against.
+    // Read under the same shared hold the body was computed under: a
+    // mutation needs the cell exclusively, so the epoch header always names
+    // the exact epoch this response was computed against.
     epoch = engine->epoch();
     provenance = engine->EffectiveSnapshotInfo();
   }
@@ -390,15 +392,15 @@ HttpResponse SkylineService::HandleMutate(const HttpRequest& request) {
     return response;
   }
 
-  // Pin the serving cell and take the engine's turn: the mutation and any
-  // concurrent query serialize on the same mutex, so every query response
-  // is computed against exactly one epoch.
+  // Pin the serving cell and hold it exclusively: running queries finish
+  // first and new ones wait, so every query response is computed against
+  // exactly one epoch.
   std::shared_ptr<ServingEngine> serving = Serving();
   core::Engine::MutationResult outcome;
   uint64_t vertices = 0;
   uint64_t edges = 0;
   {
-    std::lock_guard<std::mutex> lock(serving->mu);
+    std::unique_lock<util::WriterPreferringMutex> lock(serving->mu);
     outcome = serving->engine->ApplyUpdates(updates);
     vertices = serving->engine->graph().NumVertices();
     edges = serving->engine->graph().NumEdges();
@@ -432,9 +434,8 @@ HttpResponse SkylineService::HandleEngineStats() {
   std::shared_ptr<ServingEngine> serving = Serving();
   core::EngineStats stats;
   {
-    // StatsSnapshot reads the same non-atomic counters Execute writes, so
-    // it takes its turn on the engine like a query does.
-    std::lock_guard<std::mutex> lock(serving->mu);
+    // StatsSnapshot may overlap queries but not a mutation, like a query.
+    std::shared_lock<util::WriterPreferringMutex> lock(serving->mu);
     stats = serving->engine->StatsSnapshot();
   }
   StampLifecycle(&stats);
@@ -463,7 +464,7 @@ HttpResponse SkylineService::HandleMetrics() {
   std::shared_ptr<ServingEngine> serving = Serving();
   core::EngineStats stats;
   {
-    std::lock_guard<std::mutex> lock(serving->mu);
+    std::shared_lock<util::WriterPreferringMutex> lock(serving->mu);
     stats = serving->engine->StatsSnapshot();
   }
   StampLifecycle(&stats);

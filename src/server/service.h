@@ -27,10 +27,10 @@
 //       transition (Engine::ApplyUpdates). Body:
 //         {"updates":[{"u":0,"v":1,"op":"insert"|"delete"},...]}
 //       Answers nsky.mutate.v1 with applied/skipped counts, the new epoch
-//       and the repair outcome; mutations serialize with queries on the
-//       serving cell's mutex, so every query response is computed against
-//       exactly one epoch. Responses (here and on /v1/skyline) carry an
-//       `X-Nsky-Epoch` header.
+//       and the repair outcome. A mutation holds the serving cell's lock
+//       exclusively and a query holds it shared, so every query response
+//       is computed against exactly one epoch. Responses (here and on
+//       /v1/skyline) carry an `X-Nsky-Epoch` header.
 //   POST /v1/admin/reload?snapshot=PATH[&timeout_ms=&max_memory_mb=]
 //       Zero-downtime hot reload (see below); answers nsky.reload.v1.
 //
@@ -50,7 +50,7 @@
 //
 // Hot reload: Reload() loads and fully validates a snapshot OFF the request
 // path (no lock any query route holds), then epoch-swaps the serving
-// engine: the engine plus its serialization mutex live in one
+// engine: the engine plus its reader/writer lock live in one
 // shared_ptr'd ServingEngine cell, every request pins the cell for its
 // whole lifetime, and the swap just replaces the pointer. In-flight
 // queries finish on the engine they started on; requests arriving after
@@ -62,8 +62,11 @@
 // because it lives on the engine itself.
 //
 // Concurrency: Handle() may be called from any number of session workers.
-// The engine itself serves one caller at a time, so query and stats routes
-// serialize on the serving cell's mutex; /v1/queries reads the flight
+// /v1/skyline, /v1/engine_stats and /v1/metrics hold the serving cell's
+// lock shared, so queries run on the engine at the same time
+// (core/engine.h); POST /v1/edges holds it exclusively. The lock prefers
+// writers: once a mutation waits, new queries queue behind it, so
+// saturating readers cannot starve it. /v1/queries reads the flight
 // recorder lock-free (it is explicitly safe against concurrent writers).
 // Reloads serialize on their own mutex and never block queries except for
 // the pointer-sized swap.
@@ -83,6 +86,7 @@
 #include "server/http.h"
 #include "util/execution_context.h"
 #include "util/status.h"
+#include "util/writer_preferring_mutex.h"
 
 namespace nsky::server {
 
@@ -171,15 +175,15 @@ class SkylineService {
   }
 
  private:
-  // One serving epoch: the engine and the mutex that serializes access to
-  // it (an Engine serves one caller at a time). Requests copy the
-  // shared_ptr once and use only the cell for their whole lifetime, so a
-  // concurrent swap can never pull the engine out from under them.
+  // One serving epoch: the engine and the lock that splits its calls into
+  // shared (queries, stats) and exclusive (mutation) ones. Requests copy
+  // the shared_ptr once and use only the cell for their whole lifetime, so
+  // a concurrent swap can never pull the engine out from under them.
   struct ServingEngine {
     explicit ServingEngine(std::unique_ptr<core::Engine> e)
         : engine(std::move(e)) {}
     std::unique_ptr<core::Engine> engine;
-    std::mutex mu;
+    util::WriterPreferringMutex mu;
   };
 
   std::shared_ptr<ServingEngine> Serving() const;

@@ -111,11 +111,19 @@ std::vector<SpanNode> FinishedRoots() {
   return t.roots;
 }
 
+uint32_t ThisThreadTrack() {
+  ThreadTracer& t = thread_tracer();
+  if (t.tid == 0) {
+    t.tid = shared().next_tid.fetch_add(1, std::memory_order_relaxed);
+  }
+  return t.tid;
+}
+
 Span::Span(const char* name) : active_(Enabled()) {
   if (!active_) return;
   SharedTracer& s = shared();
   ThreadTracer& t = thread_tracer();
-  if (t.tid == 0) t.tid = s.next_tid.fetch_add(1, std::memory_order_relaxed);
+  ThisThreadTrack();
 
   Clock::time_point epoch;
   uint64_t generation;

@@ -62,6 +62,11 @@ struct SpanNode {
 // Copies the closed top-level spans collected since the last Reset().
 std::vector<SpanNode> FinishedRoots();
 
+// The calling thread's track id (SpanNode::tid), assigned now if the thread
+// has not opened a span yet. Lets a caller pick its own threads' roots out
+// of FinishedRoots() when other threads trace at the same time.
+uint32_t ThisThreadTrack();
+
 // Chrome trace-event JSON: an array of complete ("ph":"X") events with
 // name/ts/dur/pid/tid; counter deltas ride in "args". Loadable by
 // chrome://tracing and Perfetto.

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,8 +19,10 @@
 #include "core/solver_internal.h"
 #include "graph/generators.h"
 #include "util/execution_context.h"
+#include "util/fault_injection.h"
 #include "util/json_writer.h"
 #include "util/metrics.h"
+#include "util/trace.h"
 
 namespace nsky::core {
 namespace {
@@ -310,6 +313,49 @@ TEST(FlightRecorder, SlowQueryHookCapturesPhaseTrace) {
   engine.set_slow_query_threshold_us(60u * 1000 * 1000);
   engine.Query(Opts(Algorithm::kFilterRefine));
   EXPECT_EQ(engine.recorder().SlowQueries().size(), 1u);
+}
+
+// Queries that overlap the capturing one trace into the same collector;
+// the slow record keeps only the capturing query's own threads. The
+// capturing query runs at one thread and every pool slice sleeps, so the
+// second query (four threads, a quarter of the slices each) starts after
+// the capture is armed and finishes well before it ends.
+TEST(FlightRecorder, SlowQueryCaptureKeepsOnlyItsOwnSpans) {
+  Engine engine{graph::MakeErdosRenyi(12000, 0.0003, 3)};
+  engine.Query(Opts(Algorithm::kFilterRefine));  // warm: no builds below
+  engine.Query(Opts(Algorithm::kFilterRefine, 4));
+  ASSERT_GE(engine.Filter().candidates.size(), 8u * 1024);
+  engine.set_slow_query_threshold_us(1);
+  ASSERT_TRUE(util::FaultInjector::ArmForTest("pool.chunk_delay_ms=10"));
+
+  std::thread capturing(
+      [&] { engine.Query(Opts(Algorithm::kFilterRefine)); });
+  while (!util::trace::Enabled()) std::this_thread::yield();
+  engine.Query(Opts(Algorithm::kFilterRefine, 4));
+  const bool overlapped = util::trace::Enabled();
+  capturing.join();
+  util::FaultInjector::Disarm();
+  ASSERT_TRUE(overlapped) << "the second query outlasted the capturing one";
+
+  std::vector<FlightRecorder::SlowQuery> slow = engine.recorder().SlowQueries();
+  ASSERT_EQ(slow.size(), 1u);
+  EXPECT_EQ(slow[0].record.threads, 1u);
+  int filter_refine_roots = 0;
+  for (const FlightRecorder::SpanSummary& span : slow[0].spans) {
+    if (span.depth == 0 && span.name == "filter_refine") ++filter_refine_roots;
+  }
+  EXPECT_EQ(filter_refine_roots, 1);
+
+  // The capturing query's own pool workers stay in: their refine slices
+  // are roots of the workers' tracks.
+  engine.Query(Opts(Algorithm::kFilterRefine, 2));
+  slow = engine.recorder().SlowQueries();
+  ASSERT_EQ(slow.size(), 2u);
+  bool worker_root = false;
+  for (const FlightRecorder::SpanSummary& span : slow[1].spans) {
+    worker_root |= span.depth == 0 && span.name == "refine.worker";
+  }
+  EXPECT_TRUE(worker_root);
 }
 
 TEST(FlightRecorder, SlowLogIsBounded) {

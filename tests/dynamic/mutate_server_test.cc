@@ -54,9 +54,10 @@ std::string UpdateBody(uint32_t u, uint32_t v, bool insert) {
 class MutateServer {
  public:
   explicit MutateServer(std::unique_ptr<core::Engine> engine,
-                        ServiceOptions options = ServiceOptions{}) {
+                        ServiceOptions options = ServiceOptions{},
+                        ServerOptions server_options = ServerOptions{}) {
     service_ = std::make_unique<SkylineService>(std::move(engine), options);
-    server_ = std::make_unique<Server>(service_.get(), ServerOptions{});
+    server_ = std::make_unique<Server>(service_.get(), server_options);
     auto status = server_->Listen();
     EXPECT_TRUE(status.ok()) << status.ToString();
     serve_thread_ = std::thread([this] { server_->Serve(); });
@@ -225,7 +226,7 @@ TEST(MutateEndpoint, DirtySuffixFlowsThroughServingSurfaces) {
 // anywhere, and every query body must be byte-identical (mod seconds) to
 // the canonical answer of the epoch its X-Nsky-Epoch header names --
 // toggling one edge makes that answer a pure function of epoch parity.
-TEST(MutateStress, ConcurrentQueriesAcrossEpochs) {
+void RunEpochDrill(uint32_t session_threads) {
   Graph g = BaseGraph();
   const uint32_t kU = 5;
   const uint32_t kV = 210;
@@ -233,7 +234,10 @@ TEST(MutateStress, ConcurrentQueriesAcrossEpochs) {
 
   ServiceOptions options;
   options.max_inflight = 64;  // nothing sheds; every request must answer
-  MutateServer ts(std::make_unique<core::Engine>(std::move(g)), options);
+  ServerOptions server_options;
+  server_options.session_threads = session_threads;
+  MutateServer ts(std::make_unique<core::Engine>(std::move(g)), options,
+                  server_options);
 
   // Canonical answers per epoch parity, captured before the race: even
   // epochs serve the base graph, odd epochs the base + {kU, kV}.
@@ -312,6 +316,17 @@ TEST(MutateStress, ConcurrentQueriesAcrossEpochs) {
   EXPECT_EQ(failures.load(), 0)
       << "first errors per thread: " << first_error[0] << " | "
       << first_error[1] << " | " << first_error[2] << " | " << first_error[3];
+}
+
+// The four readers' queries overlap in the engine (they hold the serving
+// cell shared). With four session workers the writer's connection waits
+// for a reader to leave; a fifth worker lets every mutation land mid-race.
+TEST(MutateStress, ConcurrentQueriesAcrossEpochs) {
+  for (uint32_t session_threads : {4u, 5u}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "session_threads " << session_threads);
+    RunEpochDrill(session_threads);
+  }
 }
 
 }  // namespace
